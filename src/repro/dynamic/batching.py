@@ -15,9 +15,11 @@ grid cells, then repairs the groups concurrently:
   group, optionally followed by the group's
   :class:`~repro.dynamic.interference.DynamicInterference` row repair.
   Groups farther apart than :func:`independence_radius` touch disjoint
-  state, so they can run on a thread pool (``jobs > 1``) or
-  sequentially (``jobs == 1`` — still profitable: overlapping dirty
+  state, so their ΘALG repairs can run on a thread pool (``jobs > 1``)
+  or sequentially (``jobs == 1`` — still profitable: overlapping dirty
   disks within a group are repaired *once* instead of once per event).
+  The conflict row store has a single writer, so the groups' row
+  repairs always run serially, in group order.
 
 Correctness does not depend on the partition: the repair invariant
 (post-repair state equals the exact ΘALG of the current live positions
@@ -289,24 +291,11 @@ def apply_events_parallel(
         repairs: "list" = []
         conflict_repairs: "list" = []
 
-        def run_group(idxs: "list[int]") -> "tuple[object, object]":
+        def run_group(idxs: "list[int]"):
             ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
             if not ctxs:
-                return None, None
-            rs = incremental._repair_batch(ctxs, kind="batch", node=-1)
-            cs = None
-            if interference is not None:
-                moved = [
-                    int(events[i].node)
-                    for i in idxs
-                    if contexts[i] is not None
-                    and contexts[i][0] == "move"
-                    and incremental._index.is_alive(int(events[i].node))
-                ]
-                cs = interference.update(
-                    rs.edges_added, rs.edges_removed, moved, _sync=False
-                )
-            return rs, cs
+                return None
+            return incremental._repair_batch(ctxs, kind="batch", node=-1)
 
         if use_threads:
             with ThreadPoolExecutor(max_workers=eff_jobs) as tpool:
@@ -314,15 +303,30 @@ def apply_events_parallel(
         else:
             results = [run_group(g) for g in idx_groups]
 
+        # The conflict store has a single writer: group conflict repairs
+        # run here, serially in group order, after the topology repairs.
+        # They read only geometry and the store itself, so the result
+        # equals interleaving them with the groups.
+        for idxs, rs in zip(idx_groups, results):
+            if rs is None:
+                continue
+            repairs.append(rs)
+            if interference is not None:
+                # Every mover alive after the batch, including one that
+                # moved while failed and recovered in the same batch.
+                moved = [
+                    int(events[i].node)
+                    for i in idxs
+                    if isinstance(events[i], NodeMove)
+                    and incremental._index.is_alive(int(events[i].node))
+                ]
+                conflict_repairs.append(
+                    interference.update(rs.edges_added, rs.edges_removed, moved, _sync=False)
+                )
+
         incremental.topology_version += 1
         if interference is not None:
             interference._mark_synced()
-
-        for rs, cs in results:
-            if rs is not None:
-                repairs.append(rs)
-            if cs is not None:
-                conflict_repairs.append(cs)
 
         stats = BatchApplyStats(
             events=len(events),

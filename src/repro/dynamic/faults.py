@@ -34,13 +34,15 @@ __all__ = ["drop_buffered_packets", "filter_injections"]
 def drop_buffered_packets(router, nodes: "Iterable[int]") -> int:
     """Discard every packet buffered at ``nodes``; return how many.
 
+    A node listed twice is drained (and counted) once.
+
     The caller (normally :class:`repro.sim.engine.SimulationEngine`)
     charges the returned count to the run's stats via
     :meth:`RoutingStats.record_churn_drops
     <repro.sim.stats.RoutingStats.record_churn_drops>`.  Unknown router
     shapes raise so silent packet leaks cannot happen.
     """
-    node_list = [int(v) for v in nodes]
+    node_list = list(dict.fromkeys(int(v) for v in nodes))  # each node once
     if not node_list:
         return 0
     heights = getattr(router, "heights", None)

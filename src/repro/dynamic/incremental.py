@@ -669,6 +669,8 @@ class StepChurn:
     events_applied: int = 0
     nodes_touched: int = 0
     edges_flipped: int = 0
+    #: Distinct nodes failed / removed (failed or left) this step, in
+    #: first-event order.
     failed_nodes: "list[int]" = field(default_factory=list)
     removed_nodes: "list[int]" = field(default_factory=list)
     joined_nodes: "list[int]" = field(default_factory=list)
@@ -823,14 +825,19 @@ class DynamicTopology:
                     churn.conflict_repairs.append(cs)
                     churn.conflict_rows_touched += cs.rows_recomputed
                     churn.conflict_entries_changed += cs.entries_changed
+        # Failed / removed nodes once each: a step may fail, recover and
+        # remove the same node, and its buffer must be charged only once.
+        failed: "dict[int, None]" = {}
+        removed: "dict[int, None]" = {}
         for ev in evs:
             if isinstance(ev, FailStop):
-                churn.failed_nodes.append(ev.node)
-                churn.removed_nodes.append(ev.node)
+                failed[ev.node] = removed[ev.node] = None
             elif isinstance(ev, NodeLeave):
-                churn.removed_nodes.append(ev.node)
+                removed[ev.node] = None
             elif isinstance(ev, (NodeJoin, Recover)):
                 churn.joined_nodes.append(ev.node)
+        churn.failed_nodes.extend(failed)
+        churn.removed_nodes.extend(removed)
         self.events_applied += churn.events_applied
         self.nodes_touched_total += churn.nodes_touched
         self.edges_flipped_total += churn.edges_flipped

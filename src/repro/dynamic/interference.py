@@ -21,6 +21,12 @@ the topology repair:
   distance ``≤`` squared shrunk guard radius
   ``((1+Δ)·len·(1−1e-12))²``, inclusive at ties.
 
+The rows live in numpy arrays, not Python sets: each edge owns an int32
+slot, and rows are slot lists in one slack arena whose entries carry a
+pointer to their mirror entry, so a repair is a handful of vectorized
+gathers and scatters and the whole structure is a few arrays the
+cyclic GC never walks (:class:`_SlackRows`).
+
 The maintained rows materialize on demand into a CSR
 :class:`~repro.interference.conflict.InterferenceSets` aligned with
 ``IncrementalTheta.edge_array()`` and **edge-for-edge identical** to a
@@ -40,10 +46,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
+from repro.utils.arrays import ragged_arange, run_starts
 from repro.utils.rng import as_rng
 
 __all__ = [
@@ -56,12 +64,12 @@ __all__ = [
 
 _MASK = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_EMPTY: "frozenset[int]" = frozenset()
 
 
-def _pack(lo: int, hi: int) -> int:
-    """One int64 key per undirected edge ``(lo, hi)``, lex-order preserving."""
-    return (lo << 32) | hi
+def _codes(pairs) -> np.ndarray:
+    """One int64 key ``(lo << 32) | hi`` per undirected edge, lex-order preserving."""
+    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return (arr[:, 0] << 32) | arr[:, 1]
 
 
 def edge_uniforms(codes: np.ndarray, seed: int, step: int) -> np.ndarray:
@@ -136,6 +144,222 @@ class ConflictRepairStats:
     wall_time: float
 
 
+#: Ragged copies move at most about this many entries per vectorized
+#: pass, so seeding, packing and materialization hold a few MB of index
+#: arrays at a time instead of several int64 copies of the whole arena.
+_CHUNK = 1 << 20
+
+
+def _with_slack(n):
+    """Capacity for ``n`` entries: a quarter spare, at least 4."""
+    return n + np.maximum(n // 4, 4)
+
+
+def _pos_dtype(size: int):
+    """Narrowest dtype addressing an arena of ``size`` entries."""
+    return np.int32 if size < 2**31 else np.int64
+
+
+def _chunks(lens: np.ndarray):
+    """Consecutive row ranges ``[i, j)`` of about ``_CHUNK`` entries each."""
+    ends = np.cumsum(lens)
+    i, n = 0, len(lens)
+    while i < n:
+        base = int(ends[i - 1]) if i else 0
+        j = max(int(np.searchsorted(ends, base + _CHUNK, side="right")), i + 1)
+        yield i, j
+        i = j
+
+
+def _find(sorted_keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of each ``x`` in ``sorted_keys``; -1 where absent."""
+    if len(sorted_keys) == 0:
+        return np.full(len(x), -1, dtype=np.intp)
+    j = np.searchsorted(sorted_keys, x)
+    j[j == len(sorted_keys)] = 0
+    return np.where(sorted_keys[j] == x, j, -1)
+
+
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``keys``."""
+    keys = np.sort(keys)
+    return keys[run_starts(keys)]
+
+
+def _runs(keys: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """First index and length of each equal-key run of sorted ``keys``."""
+    first = np.flatnonzero(run_starts(keys))
+    return first, np.diff(np.append(first, len(keys)))
+
+
+class _SlackRows:
+    """Rows of int32 entries sharing one arena, each with spare capacity.
+
+    Row ``r`` owns ``arena[start[r] : start[r] + cap[r]]``; its first
+    ``length[r]`` entries are live, in no particular order.  Deleting
+    entries refills the holes from the row's own tail, so a row stays
+    one contiguous run.  A row that outgrows its block is relocated to
+    the arena's top with fresh slack and its old block becomes garbage.
+    Garbage is reclaimed only when the top runs out: the copy that
+    grows the arena packs the rows and drops it, so there is no
+    separate compaction pass.
+
+    With ``twins`` the rows hold a symmetric relation: ``twin[p]`` is
+    the arena position of the mirror of the entry at ``p`` (entry ``b``
+    of row ``a`` ↔ entry ``a`` of row ``b``), so a pair is unlinked from
+    both rows without searching either, and every move keeps the
+    pointers exact.
+    """
+
+    def __init__(self, lengths, entries, twins=None) -> None:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        self.length = lengths.copy()
+        self.cap = _with_slack(lengths)
+        self.start = np.cumsum(self.cap) - self.cap
+        self.top = int(self.cap.sum())
+        size = int(_with_slack(self.top))
+        self.arena = np.empty(size, dtype=np.int32)
+        self.twin = None if twins is None else np.empty(size, dtype=_pos_dtype(size))
+        # Seed from CSR (entries/twins indexed by CSR position).
+        src_start = np.cumsum(lengths) - lengths
+        for i, j in _chunks(lengths):
+            src = ragged_arange(src_start[i:j], lengths[i:j])
+            dst = ragged_arange(self.start[i:j], lengths[i:j])
+            vals = entries[src]
+            self.arena[dst] = vals
+            if twins is not None:
+                self.twin[dst] = self.start[vals] + (twins[src] - src_start[vals])
+
+    def ensure_rows(self, n: int) -> None:
+        """Make rows ``0 .. n-1`` addressable (new rows are empty)."""
+        have = len(self.length)
+        if n > have:
+            pad = np.zeros(max(n, 2 * have) - have, dtype=np.int64)
+            self.length = np.concatenate([self.length, pad])
+            self.cap = np.concatenate([self.cap, pad])
+            self.start = np.concatenate([self.start, pad])
+
+    def gather(self, rows: np.ndarray) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Live entries of ``rows``, their arena positions, and the index
+        into ``rows`` each one came from."""
+        lens = self.length[rows]
+        pos = ragged_arange(self.start[rows], lens)
+        return self.arena[pos], pos, np.repeat(np.arange(len(rows)), lens)
+
+    def append(self, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Append ``values[i]`` to row ``rows[i]`` (rows may repeat);
+        returns the arena position of each appended entry."""
+        if len(rows) == 0:
+            return np.empty(0, dtype=np.intp)
+        order = np.argsort(rows, kind="stable")
+        r = rows[order]
+        first, counts = _runs(r)
+        uniq = r[first]
+        need = self.length[uniq] + counts
+        over = need > self.cap[uniq]
+        if over.any():
+            self._relocate(uniq[over], need[over])
+        pos = np.empty(len(r), dtype=np.intp)
+        pos[order] = self.start[r] + self.length[r] + np.arange(len(r)) - np.repeat(first, counts)
+        self.arena[pos] = values
+        self.length[uniq] += counts
+        return pos
+
+    def link(self, a: np.ndarray, b: np.ndarray) -> None:
+        """Add the pairs ``(a[i], b[i])`` to both rows, twinned."""
+        pos = self.append(np.concatenate([a, b]), np.concatenate([b, a]))
+        k = len(a)
+        self.twin[pos[:k]] = pos[k:]
+        self.twin[pos[k:]] = pos[:k]
+
+    def unlink(self, pos, owners, nbs, inner) -> None:
+        """Drop the pairs whose entries sit at ``pos`` (rows ``owners``,
+        values ``nbs``) from both rows.  ``inner`` marks entries whose
+        pair is listed from both ends; only the lower-slot end is used."""
+        keep = ~inner | (owners < nbs)
+        pos = pos[keep]
+        self.delete(
+            np.concatenate([pos, self.twin[pos]]),
+            np.concatenate([owners[keep], nbs[keep]]),
+        )
+
+    def delete(self, pos: np.ndarray, rows: np.ndarray) -> None:
+        """Drop the entries at the distinct arena positions ``pos``
+        (``rows[i]`` owns ``pos[i]``).  Paired rows must drop both
+        halves of every pair in the same call."""
+        if len(pos) == 0:
+            return
+        order = np.lexsort((pos, rows))
+        pos, rows = pos[order], rows[order]
+        first, counts = _runs(rows)
+        uniq = rows[first]
+        keep = self.length[uniq] - counts
+        bound = self.start[uniq] + keep
+        # Holes below each row's new end, refilled by the survivors
+        # above it; both lists run row by row in position order.
+        holes = pos[pos < np.repeat(bound, counts)]
+        tail = ragged_arange(bound, counts)
+        self._move(tail[_find(np.sort(pos), tail) < 0], holes)
+        self.length[uniq] = keep
+
+    def _move(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Move entries from ``src`` to the disjoint positions ``dst``."""
+        if len(src) == 0:
+            return
+        self.arena[dst] = self.arena[src]
+        if self.twin is None:
+            return
+        t = self.twin[src].astype(np.intp)
+        # A mirror that moves in the same call lands at its own dst.
+        by_src = np.argsort(src)
+        k = _find(src[by_src], t)
+        moving = k >= 0
+        t[moving] = dst[by_src[k[moving]]]
+        self.twin[dst] = t
+        self.twin[t] = dst
+
+    def _relocate(self, rows: np.ndarray, need: np.ndarray) -> None:
+        """Give ``rows`` blocks for ``need`` entries plus slack."""
+        cap = _with_slack(need)
+        total = int(cap.sum())
+        if self.top + total > len(self.arena):
+            self.cap[rows] = cap
+            self._pack()
+            return
+        start = self.top + np.cumsum(cap) - cap
+        lens = self.length[rows]
+        self._move(ragged_arange(self.start[rows], lens), ragged_arange(start, lens))
+        self.start[rows] = start
+        self.cap[rows] = cap
+        self.top += total
+
+    def _pack(self) -> None:
+        """Copy every row into a fresh arena with headroom, garbage-free."""
+        old_start = self.start
+        start = np.cumsum(self.cap) - self.cap
+        self.top = int(self.cap.sum())
+        size = int(_with_slack(self.top))
+        arena = np.empty(size, dtype=np.int32)
+        twin = None
+        if self.twin is not None:
+            twin = np.empty(size, dtype=_pos_dtype(size))
+            # Rows holding entries, by old block start: maps an old
+            # position to its row (empty rows may share a start).
+            full = np.flatnonzero(self.length > 0)
+            full = full[np.argsort(old_start[full])]
+            full_start = old_start[full]
+        for i, j in _chunks(self.length):
+            lens = self.length[i:j]
+            src = ragged_arange(old_start[i:j], lens)
+            dst = ragged_arange(start[i:j], lens)
+            arena[dst] = self.arena[src]
+            if twin is not None:
+                t = self.twin[src]
+                r = full[np.searchsorted(full_start, t, side="right") - 1]
+                twin[dst] = start[r] + (t - old_start[r])
+        self.arena, self.twin, self.start = arena, twin, start
+
+
 class DynamicInterference:
     """Maintain §2.4 interference sets I(e) over a churned ΘALG topology.
 
@@ -157,6 +381,15 @@ class DynamicInterference:
     automatically.  :meth:`interference_sets` raises if the topology
     advanced without a matching update, so a stale conflict structure
     can never be served silently.
+
+    Storage: every live edge owns an int32 *slot*.  Conflict rows are
+    slot lists in one twinned slack arena (:class:`_SlackRows`), node
+    incidence (node → incident slots) is a second, untwinned one, and
+    ``_code`` / ``_rad2`` hold each slot's packed edge key and squared
+    guard radius.  The incidence doubles as the code → slot map: an
+    edge's slot is the one at its lower endpoint carrying its code.
+    The store has a single writer; concurrent callers must serialize
+    their updates.
     """
 
     def __init__(self, incremental, delta: float) -> None:
@@ -168,10 +401,8 @@ class DynamicInterference:
         # in-range epsilon), so no guard radius exceeds (1+Δ)·√(D²+1e-12):
         # one candidate query radius covers both conflict directions.
         self._r_in = (1.0 + self.delta) * float(np.sqrt(D * D + 1e-12))
-        self._rows: "dict[int, set[int]]" = {}
-        self._incident: "dict[int, set[int]]" = {}
-        self._rad2: "dict[int, float]" = {}
         self._csr: "InterferenceSets | None" = None
+        self._order: "np.ndarray | None" = None
         self._synced_version = -1
         self._seed_from_scratch()
 
@@ -179,35 +410,66 @@ class DynamicInterference:
     # Seeding and introspection
     # ------------------------------------------------------------------
     def _seed_from_scratch(self) -> None:
-        """Build rows/incident maps from one vectorized full build."""
+        """Copy one vectorized full build's CSR into the row store."""
         graph = self.inc.snapshot_graph()
         sets = interference_sets(graph, self.delta)
-        edges = graph.edges
-        codes = (edges[:, 0].astype(np.int64) << 32) | edges[:, 1].astype(np.int64)
-        lengths = graph.edge_lengths
-        indptr, indices = sets.indptr, sets.indices
-        rows: "dict[int, set[int]]" = {}
-        incident: "dict[int, set[int]]" = {}
-        rad2: "dict[int, float]" = {}
-        code_list = codes.tolist()
-        for k, code in enumerate(code_list):
-            rows[code] = set(codes[indices[indptr[k] : indptr[k + 1]]].tolist())
-            r = float(interference_radius(lengths[k], self.delta) * (1.0 - 1e-12))
-            rad2[code] = r * r
-        for (lo, hi), code in zip(edges.tolist(), code_list):
-            incident.setdefault(lo, set()).add(code)
-            incident.setdefault(hi, set()).add(code)
-        self._rows, self._incident, self._rad2 = rows, incident, rad2
+        edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 2)
+        m, nnz = len(edges), len(sets.indices)
+        # The kernel's rows are sorted and symmetric, so transposing a
+        # matrix whose data are CSR positions puts, at every position,
+        # the position of its mirror entry.
+        ids = sp.csr_matrix(
+            (np.arange(nnz, dtype=_pos_dtype(nnz)), sets.indices, sets.indptr),
+            shape=(m, m),
+        )
+        self._rows = _SlackRows(np.diff(sets.indptr), sets.indices, ids.T.tocsr().data)
+        del ids
+        ends = edges.ravel()
+        self._incident = _SlackRows(
+            np.bincount(ends, minlength=self._index.size),
+            np.argsort(ends, kind="stable") // 2,
+        )
+        r = interference_radius(graph.edge_lengths, self.delta) * (1.0 - 1e-12)
+        self._code = (edges[:, 0] << 32) | edges[:, 1]
+        self._rad2 = r * r
+        self._n_slots = self._live = m
+        self._free: "list[int]" = []
         self._csr = sets
+        self._order = np.arange(m)  # snapshot edges are sorted by code
         self._synced_version = self.inc.topology_version
 
     @property
     def n_edges(self) -> int:
-        return len(self._rows)
+        return self._live
 
-    def edge_codes(self) -> np.ndarray:
-        """Sorted packed ``(lo << 32) | hi`` keys of the tracked edges."""
-        return np.fromiter(sorted(self._rows), dtype=np.int64, count=len(self._rows))
+    def _sorted_slots(self) -> np.ndarray:
+        """Live slots in ascending edge-code (``edge_array``) order."""
+        if self._order is None:
+            live = np.flatnonzero(self._code[: self._n_slots] >= 0)
+            self._order = live[np.argsort(self._code[live])]
+        return self._order
+
+    def _slots_of(self, codes: np.ndarray) -> np.ndarray:
+        """Slot of each packed edge code; -1 where the edge is not tracked."""
+        out = np.full(len(codes), -1, dtype=np.int64)
+        known = np.flatnonzero((codes >> 32) < len(self._incident.length))
+        slots, _, which = self._incident.gather(codes[known] >> 32)
+        hit = self._code[slots] == codes[known[which]]
+        out[known[which[hit]]] = slots[hit]
+        return out
+
+    def degrees_of(self, codes) -> np.ndarray:
+        """``|I(e)|`` of the edges with packed ``codes``, in that order.
+
+        Reads the rows as they stand (a tile replica between batches is
+        exact only around its tiles).  Raises ``KeyError`` for an edge
+        the store does not track.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        slots = self._slots_of(codes)
+        if (slots < 0).any():
+            raise KeyError(f"edge code {int(codes[np.argmax(slots < 0)])} is not tracked")
+        return self._rows.length[slots]
 
     # ------------------------------------------------------------------
     # Incremental repair
@@ -245,44 +507,45 @@ class DynamicInterference:
         collect_diff:
             Return ``(stats, row_diff)`` where ``row_diff`` replays the
             same splice on an in-sync replica (:meth:`apply_row_diff`)
-            without touching geometry.
+            without touching geometry.  Its values are numpy arrays:
+            ``removed`` / ``added`` edge codes, the recomputed ``codes``
+            (sorted) with their ``rad2``, and their new rows as edge
+            codes ``rows[indptr[k]:indptr[k + 1]]``.
         """
         t0 = time.perf_counter()
         with trace.span(
             "dynamic.conflict_repair", added=len(added), removed=len(removed)
-        ) as sp:
-            removed_codes = [_pack(int(lo), int(hi)) for lo, hi in removed]
-            added_codes = [_pack(int(lo), int(hi)) for lo, hi in added]
-
+        ) as span:
+            removed_codes = _codes(removed)
+            added_codes = _codes(added)
+            self._incident.ensure_rows(self._index.size)
             entries = self._retract(removed_codes)
-            self._register(added_codes)
+            fresh = self._register(added_codes)
 
             # Rows to rebuild from geometry: added edges, plus the
             # persisting edges whose guard zones moved with a mover.
-            recompute: "set[int]" = set(added_codes)
-            for nd in moved_nodes:
-                recompute.update(self._incident.get(int(nd), _EMPTY))
-            rad2_diff: "dict[int, float]" = {}
-            for c in recompute:
-                rad2_diff[c] = self._rad2[c] = self._edge_rad2(c)
-            row_diff: "dict[int, list[int]]" = {}
-            for c in sorted(recompute):
-                new_row = self._recompute_row(c)
-                if collect_diff:
-                    row_diff[c] = sorted(new_row)
-                entries += self._splice_row(c, new_row)
+            moved = np.asarray(moved_nodes, dtype=np.int64)
+            slots = np.concatenate(
+                [self._slots_of(added_codes), self._incident.gather(moved)[0]]
+            )
+            slots = slots[np.argsort(self._code[slots])]
+            slots = slots[run_starts(self._code[slots])]
+            codes = self._code[slots]
+            self._rad2[slots] = self._edge_rad2(codes)
+            owner, nbs = self._recompute_rows(slots)
+            entries += self._splice_rows(slots, _find(fresh, slots) >= 0, owner, nbs)
 
             self._csr = None
             if _sync:
                 self._synced_version = self.inc.topology_version
             stats = ConflictRepairStats(
-                rows_recomputed=len(recompute),
+                rows_recomputed=len(slots),
                 entries_changed=entries,
                 edges_added=len(added_codes),
                 edges_removed=len(removed_codes),
                 wall_time=time.perf_counter() - t0,
             )
-            sp.set(rows=stats.rows_recomputed, entries=entries)
+            span.set(rows=stats.rows_recomputed, entries=entries)
         reg = metrics.active()
         if reg is not None:
             reg.counter("dynamic.conflict_repairs").inc()
@@ -291,8 +554,10 @@ class DynamicInterference:
             diff = {
                 "removed": removed_codes,
                 "added": added_codes,
-                "rad2": rad2_diff,
-                "rows": row_diff,
+                "codes": codes,
+                "rad2": self._rad2[slots],
+                "indptr": np.append(0, np.cumsum(np.bincount(owner, minlength=len(slots)))),
+                "rows": self._code[nbs],
             }
             return stats, diff
         return stats
@@ -300,129 +565,180 @@ class DynamicInterference:
     def apply_row_diff(self, diff: dict, *, _sync: bool = True) -> ConflictRepairStats:
         """Replay an :meth:`update` ``collect_diff`` delta on a replica.
 
-        The replica must hold the exact pre-update rows (same ``_rows``,
-        ``_incident``, ``_rad2``).  Performs the identical retract /
-        register / splice sequence with the *recorded* recomputed rows
-        instead of geometry queries, so the resulting state — and the
-        returned stats, bar ``wall_time`` — match the originating
-        worker's bit for bit.
+        The replica must hold the exact pre-update rows around the
+        diff's edges.  Performs the identical retract / register /
+        splice sequence with the *recorded* recomputed rows instead of
+        geometry queries, so the resulting rows — and the returned
+        stats, bar ``wall_time`` — match the originating worker's bit
+        for bit.  Slot numbers may differ between replicas; diffs speak
+        in edge codes.
         """
         t0 = time.perf_counter()
-        removed_codes = diff["removed"]
-        added_codes = diff["added"]
-        entries = self._retract(removed_codes)
-        self._register(added_codes)
-        self._rad2.update(diff["rad2"])
-        for c, new_list in diff["rows"].items():
-            entries += self._splice_row(c, set(new_list))
+        self._incident.ensure_rows(self._index.size)
+        entries = self._retract(diff["removed"])
+        fresh = self._register(diff["added"])
+        slots = self._slots_of(diff["codes"])
+        nbs = self._slots_of(diff["rows"])
+        if (slots < 0).any() or (nbs < 0).any():
+            raise RuntimeError("row diff names edges this replica does not track")
+        self._rad2[slots] = diff["rad2"]
+        owner = np.repeat(np.arange(len(slots)), np.diff(diff["indptr"]))
+        entries += self._splice_rows(slots, _find(fresh, slots) >= 0, owner, nbs)
         self._csr = None
         if _sync:
             self._synced_version = self.inc.topology_version
         return ConflictRepairStats(
-            rows_recomputed=len(diff["rows"]),
+            rows_recomputed=len(slots),
             entries_changed=entries,
-            edges_added=len(added_codes),
-            edges_removed=len(removed_codes),
+            edges_added=len(diff["added"]),
+            edges_removed=len(diff["removed"]),
             wall_time=time.perf_counter() - t0,
         )
 
-    def _retract(self, removed_codes: "list[int]") -> int:
-        """Drop removed edges' rows and their membership in neighbors'
-        rows (symmetry gives the exact affected set for free)."""
+    def _retract(self, codes: np.ndarray) -> int:
+        """Drop removed edges: their rows, their entries in neighbor rows
+        (the twins), their incidence, their slots; returns entries
+        changed, each dropped pair counting on both sides once."""
+        slots = self._slots_of(codes)
+        slots = slots[slots >= 0]
+        if len(slots) == 0:
+            return 0
         rows = self._rows
-        incident = self._incident
-        entries = 0
-        for c in removed_codes:
-            row = rows.pop(c, None)
-            self._rad2.pop(c, None)
-            for nd in (c >> 32, c & _MASK):
-                s = incident.get(nd)
-                if s is not None:
-                    s.discard(c)
-                    if not s:
-                        del incident[nd]
-            if row:
-                entries += 2 * len(row)
-                for nb in row:
-                    nb_row = rows.get(nb)
-                    if nb_row is not None:
-                        nb_row.discard(c)
+        nbs, pos, which = rows.gather(slots)
+        owners = slots[which]
+        retired = np.sort(slots)
+        inner = _find(retired, nbs) >= 0
+        entries = 2 * (len(nbs) - int(np.count_nonzero(inner)) // 2)
+        rows.unlink(pos, owners, nbs, inner)
+        gone = self._code[slots]
+        nodes = _unique(np.concatenate([gone >> 32, gone & _MASK]))
+        held, ipos, iwhich = self._incident.gather(nodes)
+        drop = _find(retired, held) >= 0
+        self._incident.delete(ipos[drop], nodes[iwhich[drop]])
+        self._code[slots] = -1
+        self._free.extend(slots.tolist())
+        self._live -= len(slots)
+        self._order = None
         return entries
 
-    def _register(self, added_codes: "list[int]") -> None:
-        """Register added edges so row recomputes can see them."""
-        incident = self._incident
-        for c in added_codes:
-            incident.setdefault(c >> 32, set()).add(c)
-            incident.setdefault(c & _MASK, set()).add(c)
+    def _register(self, codes: np.ndarray) -> np.ndarray:
+        """Give untracked added edges slots and index them at both
+        endpoints so row recomputes can see them; returns those slots,
+        sorted."""
+        codes = _unique(codes[self._slots_of(codes) < 0])
+        k = len(codes)
+        if k == 0:
+            return np.empty(0, dtype=np.int64)
+        reuse = min(k, len(self._free))
+        recycled = np.asarray(self._free[len(self._free) - reuse :], dtype=np.int64)
+        del self._free[len(self._free) - reuse :]
+        slots = np.concatenate(
+            [recycled, np.arange(self._n_slots, self._n_slots + k - reuse, dtype=np.int64)]
+        )
+        self._n_slots += k - reuse
+        if self._n_slots > len(self._code):
+            grow = max(self._n_slots, 2 * len(self._code)) - len(self._code)
+            self._code = np.concatenate([self._code, np.full(grow, -1, dtype=np.int64)])
+            self._rad2 = np.concatenate([self._rad2, np.zeros(grow)])
+            self._rows.ensure_rows(len(self._code))
+        self._code[slots] = codes
+        ends = np.concatenate([codes >> 32, codes & _MASK])
+        self._incident.append(ends, np.concatenate([slots, slots]))
+        self._live += k
+        self._order = None
+        return np.sort(slots)
 
-    def _splice_row(self, c: int, new_row: "set[int]") -> int:
-        """Install ``new_row`` as I(c), mirroring each change into the
-        symmetric neighbor rows; returns entries changed (both sides)."""
+    def _splice_rows(self, slots, fresh, owner, nbs) -> int:
+        """Install the rows ``nbs[owner == k]`` as I(slots[k]).
+
+        The symmetric difference against the current rows becomes one
+        batch of twinned unlinks and links.  Returns entries changed,
+        counted as splicing the rows one by one in ``slots`` order
+        would: a fresh row counts all its entries; an older row counts
+        the entries that differ, except pairs with a row spliced
+        before it (already mirrored from that side).  Both sides of
+        every pair count, so the figure is independent of how rows
+        are stored and repeats across backends.
+        """
         rows = self._rows
-        entries = 0
-        old_row = rows.get(c, _EMPTY)
-        for nb in old_row - new_row:
-            nb_row = rows.get(nb)
-            if nb_row is not None:
-                nb_row.discard(c)
-            entries += 2
-        for nb in new_row - old_row:
-            nb_row = rows.get(nb)
-            if nb_row is not None:
-                nb_row.add(c)
-            entries += 2
-        rows[c] = new_row
+        k = len(slots)
+        cur, pos, which = rows.gather(slots)
+        span = len(self._code)
+        old_key = which * span + cur
+        new_key = owner * span + nbs
+        gone = _find(np.sort(new_key), old_key) < 0
+        came = _find(np.sort(old_key), new_key) < 0
+
+        by_slot = np.argsort(slots)
+        sorted_slots = slots[by_slot]
+
+        def rank(s: np.ndarray) -> np.ndarray:
+            """Position in ``slots`` (k for slots outside it)."""
+            j = _find(sorted_slots, s)
+            return np.where(j >= 0, by_slot[j], k)
+
+        d_own = np.concatenate([which[gone], owner[came]])
+        d_nb = np.concatenate([cur[gone], nbs[came]])
+        rk = rank(d_nb)
+        entries = 2 * int(np.count_nonzero(fresh[d_own] | (rk > d_own)))
+
+        inner = rk < k  # pairs inside ``slots`` show up from both ends
+        n_gone = int(np.count_nonzero(gone))
+        rows.unlink(pos[gone], slots[which[gone]], cur[gone], inner[:n_gone])
+        a, b = slots[owner[came]], nbs[came]
+        once = ~inner[n_gone:] | (a < b)
+        rows.link(a[once], b[once])
         return entries
 
     def _mark_synced(self) -> None:
         """Batch applier hook: declare the structure current again."""
         self._synced_version = self.inc.topology_version
 
-    def _edge_rad2(self, code: int) -> float:
-        """Squared shrunk guard radius of one edge, kernel arithmetic."""
-        pab = self._index.positions_of(np.array([code >> 32, code & _MASK], dtype=np.intp))
-        length = np.hypot(pab[0, 0] - pab[1, 0], pab[0, 1] - pab[1, 1])
-        r = float(interference_radius(length, self.delta) * (1.0 - 1e-12))
+    def _edge_rad2(self, codes: np.ndarray) -> np.ndarray:
+        """Squared shrunk guard radii of edges, kernel arithmetic."""
+        pab = self._index.positions_of(np.stack([codes >> 32, codes & _MASK], axis=1))
+        length = np.hypot(pab[:, 0, 0] - pab[:, 1, 0], pab[:, 0, 1] - pab[:, 1, 1])
+        r = interference_radius(length, self.delta) * (1.0 - 1e-12)
         return r * r
 
-    def _recompute_row(self, code: int) -> "set[int]":
-        """I(code) from current geometry, bit-identical to the kernel.
+    def _recompute_rows(self, slots: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+        """I(e) of every slot from current geometry, bit-identical to the kernel.
 
-        Two grid queries (one per endpoint) at the shared maximum guard
-        reach produce a candidate superset; the exact kernel predicate —
-        squared hit distance ``≤`` squared shrunk radius, inclusive at
-        ties — then decides both conflict directions:
+        Two grid queries per edge (one per endpoint) at the shared
+        maximum guard reach produce a candidate superset; the exact
+        kernel predicate — squared hit distance ``≤`` squared shrunk
+        radius, inclusive at ties — then decides both conflict
+        directions for every (candidate node, incident edge) pair:
 
-        * ``d²(u, p) ≤ r²(code)``: every edge at node ``u`` has an
-          endpoint inside *code*'s guard zone (out-direction);
-        * ``d²(u, p) ≤ r²(k)`` for ``k`` incident to ``u``: *code*'s
+        * ``d²(u, p) ≤ r²(e)``: every edge at node ``u`` has an
+          endpoint inside *e*'s guard zone (out-direction);
+        * ``d²(u, p) ≤ r²(k)`` for ``k`` incident to ``u``: *e*'s
           endpoint ``p`` lies inside ``k``'s guard zone (in-direction).
+
+        Returns ``(owner, nbs)``: row ``k`` is ``nbs[owner == k]``,
+        sorted by slot.
         """
         idx = self._index
-        pab = idx.positions_of(np.array([code >> 32, code & _MASK], dtype=np.intp))
-        r2_own = self._rad2[code]
-        incident = self._incident
-        rad2 = self._rad2
-        row: "set[int]" = set()
+        codes = self._code[slots]
+        pab = idx.positions_of(np.stack([codes >> 32, codes & _MASK], axis=1).ravel())
+        cands, d2s = [], []
         for p in pab:
             cand = idx.query_radius(p, self._r_in)
-            if len(cand) == 0:
-                continue
             d = idx.positions_of(cand) - p
-            d2s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-            for u, d2 in zip(cand.tolist(), d2s.tolist()):
-                edges_u = incident.get(u)
-                if not edges_u:
-                    continue
-                if d2 <= r2_own:
-                    row.update(edges_u)
-                else:
-                    for k in edges_u:
-                        if k not in row and d2 <= rad2[k]:
-                            row.add(k)
-        row.discard(code)
-        return row
+            cands.append(cand)
+            d2s.append(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        per_end = np.fromiter(map(len, cands), dtype=np.int64, count=len(cands))
+        end_owner = np.repeat(np.arange(len(slots)) , 2)
+        cand = np.concatenate(cands) if cands else np.empty(0, dtype=np.int64)
+        d2 = np.concatenate(d2s) if d2s else np.empty(0)
+        own = np.repeat(end_owner, per_end)
+        nbs, _, which = self._incident.gather(cand)
+        d2, own = d2[which], own[which]
+        hit = (d2 <= self._rad2[slots][own]) | (d2 <= self._rad2[nbs])
+        hit &= nbs != slots[own]
+        span = len(self._code)
+        key = _unique(own[hit] * span + nbs[hit])
+        return key // span, key % span
 
     # ------------------------------------------------------------------
     # Materialization and backstop
@@ -439,14 +755,11 @@ class DynamicInterference:
         """``|I(e)|`` aligned with ``edge_array()``, *without* CSR.
 
         The MAC hot path only needs conflict degrees for its activation
-        bounds; reading row sizes straight off the maintained sets skips
-        the O(nnz) CSR materialization (nnz is ~10⁷ at n=10⁴).
+        bounds; reading row lengths straight off the store skips the
+        O(nnz) CSR materialization (nnz is ~10⁷ at n=10⁴).
         """
         self._check_synced()
-        rows = self._rows
-        return np.fromiter(
-            (len(rows[c]) for c in sorted(rows)), dtype=np.int64, count=len(rows)
-        )
+        return self._rows.length[self._sorted_slots()]
 
     def interference_sets(self) -> InterferenceSets:
         """The maintained conflict structure as a CSR ``InterferenceSets``.
@@ -459,9 +772,25 @@ class DynamicInterference:
         self._check_synced()
         if self._csr is None:
             rows = self._rows
-            codes = sorted(rows)
-            keys = np.fromiter(codes, dtype=np.int64, count=len(codes))
-            self._csr = InterferenceSets.from_rows(keys, [rows[c] for c in codes])
+            order = self._sorted_slots()
+            m = len(order)
+            rank = np.full(len(self._code), -1, dtype=_pos_dtype(m))
+            rank[order] = np.arange(m)
+            lens = rows.length[order]
+            indptr = np.zeros(m + 1, dtype=np.int64)
+            np.cumsum(lens, out=indptr[1:])
+            indices = np.empty(int(indptr[-1]), dtype=rank.dtype)
+            for i, j in _chunks(lens):
+                src = ragged_arange(rows.start[order[i:j]], lens[i:j])
+                indices[indptr[i] : indptr[j]] = rank[rows.arena[src]]
+            if len(indices):
+                # Per-row ascending order in scipy's in-place C kernel.
+                mat = sp.csr_matrix(
+                    (np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(m, m)
+                )
+                mat.sort_indices()
+                indices = mat.indices
+            self._csr = InterferenceSets(indptr, indices)
         return self._csr
 
     def degrees(self) -> np.ndarray:

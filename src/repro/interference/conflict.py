@@ -105,33 +105,6 @@ class InterferenceSets(Sequence):
     def __repr__(self) -> str:
         return f"<InterferenceSets m={len(self)} nnz={len(self.indices)}>"
 
-    @classmethod
-    def from_rows(cls, keys: np.ndarray, rows: "Sequence") -> "InterferenceSets":
-        """Build from per-edge key sets (the incremental maintainer's form).
-
-        ``keys`` is the sorted array of edge keys (one per edge, row
-        order); ``rows[k]`` is an iterable of keys interfering with edge
-        ``k``.  Keys are mapped to row indices by binary search, and each
-        row comes out sorted — matching the CSR layout the vectorized
-        kernel produces, so ``==`` against it is exact.
-        """
-        m = len(keys)
-        counts = np.fromiter((len(r) for r in rows), dtype=np.intp, count=m)
-        indptr = np.zeros(m + 1, dtype=np.intp)
-        np.cumsum(counts, out=indptr[1:])
-        nnz = int(indptr[-1])
-        flat = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=nnz)
-        indices = np.searchsorted(np.asarray(keys), flat)
-        if m == 0 or nnz == 0:
-            return cls(indptr, indices)
-        # Per-row ascending order without a Python-level sort per row:
-        # scipy's in-place C kernel sorts all rows in one pass.
-        mat = sp.csr_matrix(
-            (np.ones(nnz, dtype=np.int8), indices, indptr), shape=(m, m)
-        )
-        mat.sort_indices()
-        return cls(indptr, mat.indices)
-
     # -- derived quantities --------------------------------------------
     @property
     def degrees(self) -> np.ndarray:

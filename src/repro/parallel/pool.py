@@ -11,8 +11,8 @@ serial path by construction:
   position/alive arrays into :class:`~repro.parallel.shm.ShmArena`
   segments, so every process reads one physical copy of the coordinates;
   the pure-Python topology state (``_out``/``_in``/``_admit``/
-  ``_edge_dirs``, conflict rows) is inherited copy-on-write and kept in
-  sync by diffs.
+  ``_edge_dirs``) and the array-backed conflict rows are inherited
+  copy-on-write and kept in sync by diffs.
 * **One sync per phase.**  Per batch the parent runs phase A (serial
   mutations — geometry lands in the shared arrays) and sends each worker
   one message: the batch's mutation records (private bucket bookkeeping),
@@ -42,8 +42,10 @@ serial path by construction:
 * **Exact replay.**  Diffs replay the repairer's transition sequence
   verbatim (:meth:`IncrementalTheta.apply_repair_diff`,
   :meth:`DynamicInterference.apply_row_diff`), so parent and every
-  worker hold bit-identical state after each batch — checked per batch
-  in ``tests/test_parallel_tiles.py`` against serial application.
+  worker hold identical topology and conflict rows after each batch
+  (row diffs name edges by code, so replicas may number slots
+  differently) — checked per batch in ``tests/test_parallel_tiles.py``
+  against serial application.
 
 Group independence (the 2(4+Δ)D union–find radius of
 :func:`repro.dynamic.batching.group_events`) guarantees concurrent
@@ -96,7 +98,7 @@ def _diff_size(topo_diff: dict, row_diff: "dict | None") -> int:
     """Halo traffic of one group's diffs, in state entries."""
     n = len(topo_diff["out"]) + len(topo_diff["admit"]) + len(topo_diff["dead"])
     if row_diff is not None:
-        n += len(row_diff["rows"]) + len(row_diff["added"]) + len(row_diff["removed"])
+        n += len(row_diff["codes"]) + len(row_diff["added"]) + len(row_diff["removed"])
     return n
 
 
@@ -130,12 +132,9 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     if len(ce) == 0:
         return empty
     codes = (ce[:, 0] << 32) | ce[:, 1]
-    rows = di._rows
     # Direct row lookups (KeyError = stale replica = a filtering bug —
     # fail loudly rather than activate with a wrong probability).
-    deg = np.fromiter(
-        (len(rows[int(c)]) for c in codes), dtype=np.int64, count=len(codes)
-    )
+    deg = di.degrees_of(codes)
     probs = 1.0 / (2.0 * np.maximum(deg.astype(np.float64), 1.0))
     act = edge_uniforms(codes, seed, step) < probs
     ae = ce[act]
@@ -163,8 +162,9 @@ def _worker_main(wid: int, conn) -> None:
     """
     # Freeze the fork-inherited heap out of the cyclic GC: a gen-2
     # collection relinks every tracked object's GC header, which would
-    # copy-on-write the entire inherited topology state into each
-    # worker (multi-second stalls at n >= 3e4, memory x workers).
+    # copy-on-write the inherited dict-of-set ΘALG state into each
+    # worker (multi-second stalls at n >= 3e4, memory x workers).  The
+    # conflict rows are numpy arrays the collector never walks.
     gc.freeze()
     state = _FORK_STATE
     inc = state["inc"]
@@ -480,8 +480,7 @@ class TileWorkerPool:
             moved = [
                 int(events[i].node)
                 for i in idxs
-                if contexts[i] is not None
-                and contexts[i][0] == "move"
+                if event_kind(events[i]) == "move"
                 and index.is_alive(int(events[i].node))
             ]
             anchors = np.asarray(

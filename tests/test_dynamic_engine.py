@@ -193,6 +193,33 @@ class TestFaultInjection:
         assert stats.injected == 30
         assert stats.accepted == stats.delivered + result.leftover + stats.churn_drops
 
+    @pytest.mark.parametrize("removal", ["fail", "leave"])
+    def test_fail_recover_remove_in_one_step_charges_once(self, removal):
+        # One step fails, recovers and removes the same node: its buffer
+        # is lost once, so conservation holds exactly.
+        from repro.dynamic.events import EventTrace, FailStop, NodeLeave, Recover
+
+        pts = uniform_points(20, rng=6)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        inc = IncrementalTheta(pts, THETA, d0)
+        last = FailStop(7) if removal == "fail" else NodeLeave(7)
+        trace = EventTrace([(10, FailStop(7)), (10, Recover(7)), (10, last)], horizon=30)
+        dyn = DynamicTopology(inc, trace)
+        router = BalancingRouter(20, [0], BalancingConfig(0.0, 0.0, 64))
+        engine = SimulationEngine(router, injections_fn=lambda t: [(7, 0, 5)], dynamic=dyn)
+        result = engine.run(30)
+        stats = result.stats
+        assert stats.churn_drops > 0
+        assert stats.accepted == stats.delivered + result.leftover + stats.churn_drops
+        churn = DynamicTopology(IncrementalTheta(pts, THETA, d0), trace).step(10)
+        assert churn.removed_nodes == [7]
+        assert churn.failed_nodes == [7]
+
+    def test_drop_counts_each_node_once(self):
+        router = BalancingRouter(6, [0], BalancingConfig(1.0, 0.0, 32))
+        router.inject(3, 0, 5)
+        assert drop_buffered_packets(router, [3, 3]) == 5
+
 
 class TestMACUnderChurn:
     def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False, jobs=1):

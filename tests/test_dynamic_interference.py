@@ -27,7 +27,6 @@ from repro import (
     uniform_points,
 )
 from repro.harness import cache as cache_mod
-from repro.interference.conflict import InterferenceSets
 
 THETA = math.pi / 9
 DELTA = 0.5
@@ -48,19 +47,6 @@ def _pair(n, seed, *, slack=1.5, delta=DELTA):
     d0 = max_range_for_connectivity(pts, slack=slack)
     inc = IncrementalTheta(pts, THETA, d0)
     return pts, d0, inc, DynamicInterference(inc, delta)
-
-
-class TestFromRows:
-    def test_round_trip_matches_kernel_layout(self):
-        pts, d0, inc, di = _pair(50, 3)
-        ref = interference_sets(inc.snapshot_graph(), DELTA)
-        keys = di.edge_codes()
-        rebuilt = InterferenceSets.from_rows(keys, [di._rows[c] for c in keys.tolist()])
-        assert rebuilt == ref
-
-    def test_empty(self):
-        s = InterferenceSets.from_rows(np.empty(0, dtype=np.int64), [])
-        assert len(s) == 0
 
 
 class TestSeedEquivalence:
