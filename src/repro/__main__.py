@@ -278,13 +278,11 @@ def _dynamic(args: argparse.Namespace, trace_dir: "str | None") -> int:
     halo_nodes = 0
     diffs_replayed = 0
     diffs_suppressed = 0
-    backends_used: "set[str]" = set()
     if args.parallel:
         # One batch per simulated step (round(churn·n) events each),
         # grouped by dirty-disk overlap and repaired group-by-group.
-        backend = None if args.backend == "auto" else args.backend
         pool = None
-        if backend == "process":
+        if args.backend == "process":
             from repro.parallel import TileWorkerPool
 
             try:
@@ -308,15 +306,12 @@ def _dynamic(args: argparse.Namespace, trace_dir: "str | None") -> int:
                     inc,
                     evs[lo : lo + per_step],
                     interference=di,
-                    jobs=args.jobs if args.jobs != 1 else None,
-                    backend=backend,
                     pool=pool,
                 )
                 groups += batch.groups
                 halo_nodes += batch.halo_nodes
                 diffs_replayed += batch.diffs_replayed
                 diffs_suppressed += batch.diffs_suppressed
-                backends_used.add(batch.backend)
                 wall.append(batch.wall_time)
                 for rs in batch.repairs:
                     touched.append(rs.nodes_touched)
@@ -398,11 +393,10 @@ def _dynamic(args: argparse.Namespace, trace_dir: "str | None") -> int:
     mix = ", ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
     print(f"event mix: {mix}")
     if args.parallel:
-        used = "+".join(sorted(backends_used)) or "serial"
         line = (
             f"batch groups: {groups} across "
             f"{math.ceil(len(evs) / max(1, round(args.churn * args.n)))} steps "
-            f"(backend: {used}"
+            f"(backend: {args.backend}"
         )
         if halo_nodes:
             line += f", halo entries: {halo_nodes}"
@@ -760,8 +754,7 @@ def main(argv: "list[str] | None" = None) -> int:
         type=int,
         default=1,
         metavar="N",
-        help="verify: run claims across N worker processes; "
-        "dynamic --parallel: repair threads per batch (default 1)",
+        help="verify: run claims across N worker processes (default 1)",
     )
     parser.add_argument(
         "--only",
@@ -819,15 +812,15 @@ def main(argv: "list[str] | None" = None) -> int:
         "--parallel",
         action="store_true",
         help="dynamic: apply each step's events as disjoint-region batches "
-        "(--jobs threads repair independent groups concurrently)",
+        "(overlapping repairs within a group run once)",
     )
     parser.add_argument(
         "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
+        choices=("serial", "process"),
+        default="serial",
         metavar="B",
-        help="dynamic --parallel: batch execution backend — auto (default), "
-        "serial, thread, or process (tiled worker pool over shared memory)",
+        help="dynamic --parallel: batch execution backend — serial (default) "
+        "or process (tiled worker pool over shared memory)",
     )
     parser.add_argument(
         "--workers",

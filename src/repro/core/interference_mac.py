@@ -12,6 +12,14 @@ Lemma 3.2: an active edge interferes with another active edge with
 probability at most 1/2, so in expectation at least half the attempted
 transmissions go through — the source of the Θ(1/I) factor in
 Theorem 3.3.
+
+One round is two functions, :func:`activate` and :func:`resolve`, and
+every MAC path is a thin source of their input arrays: the static
+:class:`RandomActivationMAC`, the churn-maintained
+:class:`repro.dynamic.interference.DynamicMAC` (sequential ``rng`` draws
+or hash-derived ``edge_uniforms``), and the tile workers of
+:meth:`repro.parallel.pool.TileWorkerPool.mac_step`.  The ``mac.*``
+counters move only in :func:`record_mac`.
 """
 
 from __future__ import annotations
@@ -25,7 +33,14 @@ from repro.obs import metrics, trace
 from repro.sim.packets import Transmission
 from repro.utils.rng import as_rng
 
-__all__ = ["estimate_edge_interference", "RandomActivationMAC"]
+__all__ = [
+    "RandomActivationMAC",
+    "activate",
+    "draw_active",
+    "estimate_edge_interference",
+    "record_mac",
+    "resolve",
+]
 
 
 def estimate_edge_interference(
@@ -62,6 +77,96 @@ def estimate_edge_interference(
     if mode != "neighborhood":
         raise ValueError(f"mode must be 'own' or 'neighborhood', got {mode!r}")
     return np.maximum(np.maximum(sizes, sets.neighborhood_max(sizes)), 1.0)
+
+
+def record_mac(
+    *,
+    edges: int = 0,
+    activated: int = 0,
+    attempts: int = 0,
+    succeeded: int = 0,
+) -> None:
+    """The one writer of the ``mac.*`` counters.
+
+    An activation on a topology of ``edges > 0`` edges counts one
+    ``mac.activation_rounds`` — whether or not any edge activated — and
+    ``activated`` activated edges; a resolve of ``attempts > 0``
+    attempts counts them, all but ``succeeded`` as collision failures.
+    """
+    reg = metrics.active()
+    if reg is None:
+        return
+    if edges:
+        reg.counter("mac.activation_rounds").inc()
+        reg.counter("mac.activated_edges").inc(activated)
+    if attempts:
+        reg.counter("mac.resolved_attempts").inc(attempts)
+        reg.counter("mac.collision_failures").inc(attempts - succeeded)
+
+
+def activate(
+    edges: np.ndarray,
+    costs: np.ndarray,
+    probs: np.ndarray,
+    uniforms: np.ndarray,
+    *,
+    count: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """§3.3 activation: edge ``i`` activates iff ``uniforms[i] < probs[i]``.
+
+    Returns the activated rows of ``edges`` and ``costs``.  ``count=False``
+    leaves the counters alone, for callers that see only part of a round
+    and record the whole round themselves.
+    """
+    with trace.span("mac.activate", edges=len(edges)) as sp:
+        mask = uniforms < probs
+        e, c = edges[mask], costs[mask]
+        sp.set(activated=len(e))
+    if count:
+        record_mac(edges=len(edges), activated=len(e))
+    return e, c
+
+
+def draw_active(
+    edges: np.ndarray, costs: np.ndarray, probs: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One sequential ``rng`` draw per edge, activated, in both orientations.
+
+    Both directions of an active edge may carry a packet (one
+    transmission per direction), so each comes back twice with its cost.
+    An edgeless topology draws nothing.
+    """
+    m = len(edges)
+    if m == 0:
+        return np.empty((0, 2), dtype=np.intp), np.empty(0)
+    e, c = activate(edges, costs, probs, rng.random(m))
+    return np.vstack([e, e[:, ::-1]]), np.concatenate([c, c])
+
+
+def resolve(
+    model: InterferenceModel, points: np.ndarray, pairs, *, count: bool = True
+) -> np.ndarray:
+    """§2.4 success of each attempted transmission in ``pairs``.
+
+    ``pairs`` are ``(src, dst)`` node pairs in either orientation.  Both
+    directions of one undirected edge belong to the same bidirectional
+    exchange and never kill each other, so the pairs collapse to
+    undirected edges and :meth:`InterferenceModel.successful_mask` decides
+    them: an edge succeeds iff no other attempted edge's guard zone
+    covers one of its endpoints.  ``count`` as in :func:`activate`.
+    """
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    k = len(pairs)
+    if k == 0:
+        return np.ones(0, dtype=bool)
+    with trace.span("mac.resolve", attempts=k) as sp:
+        uniq, inverse = np.unique(np.sort(pairs, axis=1), axis=0, return_inverse=True)
+        ok = model.successful_mask(points, uniq)[inverse.reshape(-1)]
+        succeeded = int(np.count_nonzero(ok))
+        sp.set(succeeded=succeeded)
+    if count:
+        record_mac(attempts=k, succeeded=succeeded)
+    return ok
 
 
 class RandomActivationMAC:
@@ -137,47 +242,10 @@ class RandomActivationMAC:
         undirected edge, with per-direction costs (one transmission per
         direction is allowed by the model).
         """
-        m = self.graph.n_edges
-        if m == 0:
-            return np.empty((0, 2), dtype=np.intp), np.empty(0)
-        with trace.span("mac.activate", edges=m) as sp:
-            mask = self.rng.random(m) < self.activation_probs
-            e = self.graph.edges[mask]
-            c = self.graph.edge_costs[mask]
-            directed = np.vstack([e, e[:, ::-1]]) if len(e) else np.empty((0, 2), dtype=np.intp)
-            costs = np.concatenate([c, c]) if len(c) else np.empty(0)
-            sp.set(activated=len(e))
-        reg = metrics.active()
-        if reg is not None:
-            reg.counter("mac.activation_rounds").inc()
-            reg.counter("mac.activated_edges").inc(len(e))
-        return directed, costs
+        return draw_active(
+            self.graph.edges, self.graph.edge_costs, self.activation_probs, self.rng
+        )
 
     def success_mask(self, transmissions: list[Transmission]) -> np.ndarray:
-        """Resolve interference among the attempted transmissions.
-
-        Both directions of one undirected edge belong to the same
-        bidirectional exchange and never kill each other; distinct edges
-        interfere per the guard-zone model.
-        """
-        k = len(transmissions)
-        if k == 0:
-            return np.ones(0, dtype=bool)
-        with trace.span("mac.resolve", attempts=k) as sp:
-            # Collapse to undirected edges for the pairwise check.
-            und = np.asarray(
-                [(min(t.src, t.dst), max(t.src, t.dst)) for t in transmissions], dtype=np.intp
-            )
-            uniq, inverse = np.unique(und, axis=0, return_inverse=True)
-            mat = self._model.interference_matrix(self.graph.points, uniq)
-            if mat.size:
-                edge_ok = ~mat.any(axis=1)
-            else:
-                edge_ok = np.ones(len(uniq), dtype=bool)
-            ok = edge_ok[inverse]
-            sp.set(succeeded=int(np.count_nonzero(ok)))
-        reg = metrics.active()
-        if reg is not None:
-            reg.counter("mac.resolved_attempts").inc(k)
-            reg.counter("mac.collision_failures").inc(k - int(np.count_nonzero(ok)))
-        return ok
+        """Resolve interference among the attempted transmissions (see :func:`resolve`)."""
+        return resolve(self._model, self.graph.points, [(t.src, t.dst) for t in transmissions])

@@ -5,7 +5,7 @@ overlap — the paper's locality argument again: each event's repair
 (topology + interference rows) reads and writes state within a bounded
 radius of its anchors.  This module partitions a step's events into
 **independent groups** by that radius using a union–find over coarse
-grid cells, then repairs the groups concurrently:
+grid cells, then repairs each group once:
 
 * **Phase A (serial):** every event's index mutation runs in trace
   order (join ids must appear in order; the grid index is not safe for
@@ -14,12 +14,12 @@ grid cells, then repairs the groups concurrently:
   :meth:`~repro.dynamic.incremental.IncrementalTheta._repair_batch` per
   group, optionally followed by the group's
   :class:`~repro.dynamic.interference.DynamicInterference` row repair.
-  Groups farther apart than :func:`independence_radius` touch disjoint
-  state, so their ΘALG repairs can run on a thread pool (``jobs > 1``)
-  or sequentially (``jobs == 1`` — still profitable: overlapping dirty
-  disks within a group are repaired *once* instead of once per event).
-  The conflict row store has a single writer, so the groups' row
-  repairs always run serially, in group order.
+  Overlapping dirty disks within a group are repaired *once* instead of
+  once per event — the batching win.  Here the groups run one after
+  another, in group order; groups farther apart than
+  :func:`independence_radius` touch disjoint state, so the worker
+  processes of :class:`~repro.parallel.pool.TileWorkerPool`
+  (``backend="process"``) may repair them concurrently.
 
 Correctness does not depend on the partition: the repair invariant
 (post-repair state equals the exact ΘALG of the current live positions
@@ -33,9 +33,7 @@ property-tested against serial application in
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +42,6 @@ from repro.dynamic.events import Event, NodeJoin, NodeMove, event_kind
 from repro.obs import trace
 
 __all__ = [
-    "AUTO_THREAD_MIN_GROUPS",
     "BatchApplyStats",
     "apply_events_parallel",
     "group_events",
@@ -175,11 +172,6 @@ def group_events(
     return sorted(groups.values(), key=lambda idxs: idxs[0])
 
 
-#: Below this many groups a thread pool costs more than the GIL lets it
-#: recover; the auto backend (``jobs=None``) stays serial under it.
-AUTO_THREAD_MIN_GROUPS = 8
-
-
 @dataclass
 class BatchApplyStats:
     """Aggregate result of one parallel batch application."""
@@ -192,9 +184,9 @@ class BatchApplyStats:
     repairs: "list" = field(default_factory=list)
     conflict_repairs: "list" = field(default_factory=list)
     wall_time: float = 0.0
-    #: Execution path actually taken: "serial", "thread", or "process".
+    #: Execution path actually taken: "serial" or "process".
     backend: str = "serial"
-    #: Effective worker count of that path (1 for serial).
+    #: Worker count of that path (1 for serial).
     jobs: int = 1
     #: State entries exchanged across process boundaries (0 off-process).
     halo_nodes: int = 0
@@ -219,7 +211,6 @@ def apply_events_parallel(
     events: "list[Event]",
     *,
     interference=None,
-    jobs: "int | None" = None,
     radius: "float | None" = None,
     backend: "str | None" = None,
     pool=None,
@@ -234,24 +225,14 @@ def apply_events_parallel(
     serial per-event
     :meth:`~repro.dynamic.incremental.IncrementalTheta.apply`.
 
-    Backend selection
-    -----------------
-    * ``backend="process"`` (or any ``pool``): delegate the whole batch
-      to a :class:`~repro.parallel.pool.TileWorkerPool` — group repairs
-      run in worker processes, the only path with real parallelism.
-    * ``backend="thread"``: a thread pool of ``jobs`` workers (GIL-bound;
-      proves independence more than it buys speed).
-    * ``backend="serial"``: one group after another.
-    * ``backend=None`` with ``jobs=None`` (the default): auto — serial
-      below :data:`AUTO_THREAD_MIN_GROUPS` groups or on a single core
-      (thread-pool overhead exceeds any GIL-window overlap there),
-      threads otherwise.  An explicit integer ``jobs`` keeps the legacy
-      contract: ``jobs > 1`` threads, ``jobs == 1`` serial.
-
-    The chosen path is reported in ``BatchApplyStats.backend`` /
-    ``.jobs``.  The topology version advances once per batch; callers
-    comparing against serial application should compare edge sets and
-    conflict rows, not version counters.
+    ``backend="process"`` (or any ``pool``) delegates the whole batch to
+    a :class:`~repro.parallel.pool.TileWorkerPool`, whose worker
+    processes repair the groups; ``backend=None`` or ``"serial"`` repairs
+    one group after another in this process.  The path taken is reported
+    in ``BatchApplyStats.backend`` / ``.jobs``.  The topology version
+    advances once per batch; callers comparing against serial
+    application should compare edge sets and conflict rows, not version
+    counters.
     """
     if backend == "process" or pool is not None:
         if pool is None:
@@ -262,54 +243,25 @@ def apply_events_parallel(
         if pool.inc is not incremental or pool.di is not interference:
             raise ValueError("pool was built for a different incremental/interference pair")
         return pool.apply_batch(events, radius=radius)
-    if backend not in (None, "serial", "thread"):
+    if backend not in (None, "serial"):
         raise ValueError(f"unknown backend {backend!r}")
 
     t0 = time.perf_counter()
     delta = interference.delta if interference is not None else 0.0
-    with trace.span("dynamic.batch_apply", events=len(events), jobs=jobs or 0) as sp:
+    with trace.span("dynamic.batch_apply", events=len(events)) as sp:
         idx_groups = group_events(incremental, events, radius=radius, delta=delta)
 
-        cpus = len(os.sched_getaffinity(0))
-        if backend == "serial":
-            eff_jobs = 1
-        elif backend == "thread":
-            eff_jobs = jobs if jobs and jobs > 1 else max(2, cpus)
-        elif jobs is None:  # auto
-            if len(idx_groups) >= AUTO_THREAD_MIN_GROUPS and cpus > 1:
-                eff_jobs = min(4, cpus, len(idx_groups))
-            else:
-                eff_jobs = 1
-        else:
-            eff_jobs = int(jobs)
-        use_threads = eff_jobs > 1 and len(idx_groups) > 1
-
-        # Phase A — serial mutations in trace order (join-id ordering,
-        # grid not thread-safe).  Geometry is final afterwards.
+        # Phase A — serial mutations in trace order (join-id ordering).
+        # Geometry is final afterwards.
         contexts = [incremental._mutate(ev) for ev in events]
 
         repairs: "list" = []
         conflict_repairs: "list" = []
-
-        def run_group(idxs: "list[int]"):
+        for idxs in idx_groups:
             ctxs = [contexts[i] for i in idxs if contexts[i] is not None]
             if not ctxs:
-                return None
-            return incremental._repair_batch(ctxs, kind="batch", node=-1)
-
-        if use_threads:
-            with ThreadPoolExecutor(max_workers=eff_jobs) as tpool:
-                results = list(tpool.map(run_group, idx_groups))
-        else:
-            results = [run_group(g) for g in idx_groups]
-
-        # The conflict store has a single writer: group conflict repairs
-        # run here, serially in group order, after the topology repairs.
-        # They read only geometry and the store itself, so the result
-        # equals interleaving them with the groups.
-        for idxs, rs in zip(idx_groups, results):
-            if rs is None:
                 continue
+            rs = incremental._repair_batch(ctxs, kind="batch", node=-1)
             repairs.append(rs)
             if interference is not None:
                 # Every mover alive after the batch, including one that
@@ -337,8 +289,6 @@ def apply_events_parallel(
             repairs=repairs,
             conflict_repairs=conflict_repairs,
             wall_time=time.perf_counter() - t0,
-            backend="thread" if use_threads else "serial",
-            jobs=eff_jobs if use_threads else 1,
         )
         sp.set(groups=stats.groups, nodes_touched=stats.nodes_touched)
     return stats

@@ -705,17 +705,15 @@ class DynamicTopology:
         kept in lockstep with the topology: its conflict rows are
         repaired after every event (or batch) from the repair's net edge
         changelog.
-    parallel / jobs / backend / workers:
+    parallel / backend / workers:
         When ``parallel`` is true, each step's events are grouped by
         dirty-region overlap (:func:`repro.dynamic.batching.apply_events_parallel`)
         and independent groups are applied as merged-region batches.
-        ``backend`` selects the execution path: ``None`` auto-selects
-        serial/thread by group count, ``"serial"`` / ``"thread"`` force
-        one, and ``"process"`` lazily builds a
-        :class:`~repro.parallel.pool.TileWorkerPool` of ``workers``
-        processes sized to :attr:`capacity` (call :meth:`close`, or use
-        as a context manager, to stop it).  ``jobs`` keeps the legacy
-        thread-count contract.
+        ``backend`` selects where the groups are repaired: ``None`` or
+        ``"serial"`` in this process, one after another; ``"process"``
+        in a lazily built :class:`~repro.parallel.pool.TileWorkerPool`
+        of ``workers`` processes sized to :attr:`capacity` (call
+        :meth:`close`, or use as a context manager, to stop it).
     capacity:
         Optional explicit node-id capacity (router sizing).  Defaults
         to the largest id mentioned by ``incremental`` or ``events`` —
@@ -731,7 +729,6 @@ class DynamicTopology:
         *,
         interference=None,
         parallel: bool = False,
-        jobs: "int | None" = None,
         backend: "str | None" = None,
         workers: "int | None" = None,
         capacity: "int | None" = None,
@@ -740,7 +737,6 @@ class DynamicTopology:
         self.events = events
         self.interference = interference
         self.parallel = bool(parallel)
-        self.jobs = jobs if jobs is None else int(jobs)
         self.backend = backend
         self.workers = workers
         self.events_applied = 0
@@ -799,7 +795,6 @@ class DynamicTopology:
                 self.incremental,
                 evs,
                 interference=self.interference,
-                jobs=self.jobs,
                 backend=self.backend,
                 pool=pool,
             )

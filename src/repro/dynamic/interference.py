@@ -48,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from repro.core.interference_mac import activate, draw_active, estimate_edge_interference, resolve
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
@@ -793,9 +794,14 @@ class DynamicInterference:
             self._csr = InterferenceSets(indptr, indices)
         return self._csr
 
+    @property
     def degrees(self) -> np.ndarray:
-        """``|I(e)|`` aligned with ``edge_array()`` (shared, read-only)."""
-        return self.interference_sets().degrees
+        """``|I(e)|`` aligned with ``edge_array()``, as on ``InterferenceSets``."""
+        return self.degree_array()
+
+    def neighborhood_max(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`InterferenceSets.neighborhood_max` over the maintained rows."""
+        return self.interference_sets().neighborhood_max(values)
 
     def check_full_equivalence(self) -> int:
         """Rows differing from a from-scratch rebuild (0 = bit-identical).
@@ -819,15 +825,19 @@ class DynamicMAC:
 
     The static :class:`~repro.core.interference_mac.RandomActivationMAC`
     computes interference sets once per graph; under churn that means a
-    full rebuild per step.  This wrapper samples activation probabilities
-    ``1/(2·I_e)`` from a :class:`DynamicInterference`'s maintained
-    degrees — refreshed per topology version, so a step after k events
-    costs k local conflict repairs plus one CSR materialization.
+    full rebuild per step.  This view instead feeds the shared
+    :func:`~repro.core.interference_mac.activate` /
+    :func:`~repro.core.interference_mac.resolve` round from a
+    :class:`DynamicInterference`'s maintained degrees — edges, costs and
+    activation probabilities ``1/(2·I_e)`` are refreshed once per
+    topology version, so a step after k events costs k local conflict
+    repairs.
 
     The per-step interface matches ``RandomActivationMAC``
     (:meth:`active_edges` / :meth:`success_mask`), so
     :class:`repro.sim.engine.SimulationEngine` drives either through the
-    same ``mac=`` hook.
+    same ``mac=`` hook; :meth:`deterministic_step` is the same round on
+    hash-derived draws.
     """
 
     def __init__(
@@ -837,38 +847,27 @@ class DynamicMAC:
         rng=None,
         bound_mode: str = "own",
     ) -> None:
-        from repro.core.interference_mac import estimate_edge_interference
-
-        if bound_mode not in ("own", "neighborhood"):
-            raise ValueError(f"mode must be 'own' or 'neighborhood', got {bound_mode!r}")
         self.interference = interference
         self.inc = interference.inc
         self.delta = interference.delta
         self.bound_mode = bound_mode
         self.rng = as_rng(rng)
-        self._estimate = estimate_edge_interference
         self._model = InterferenceModel(self.delta)
         self._cache_version = -1
-        self._edges = np.empty((0, 2), dtype=np.intp)
-        self._costs = np.empty(0)
-        self._probs = np.empty(0)
+        self._refresh()
 
     def _refresh(self) -> None:
         """Re-derive edges/costs/activation probs once per topology version."""
         v = self.inc.topology_version
         if v == self._cache_version:
             return
+        bounds = estimate_edge_interference(
+            None, self.delta, mode=self.bound_mode, sets=self.interference
+        )
         edges = self.inc.edge_array()
-        if self.bound_mode == "own":
-            # Degrees straight off the maintained rows — no CSR build.
-            bounds = np.maximum(self.interference.degree_array().astype(np.float64), 1.0)
-        else:
-            sets = self.interference.interference_sets()
-            bounds = self._estimate(None, self.delta, mode=self.bound_mode, sets=sets)
         d = self.inc.position_array(edges[:, 0]) - self.inc.position_array(edges[:, 1])
-        lengths = np.hypot(d[:, 0], d[:, 1])
         self._edges = edges
-        self._costs = lengths**self.inc.kappa
+        self._costs = np.hypot(d[:, 0], d[:, 1]) ** self.inc.kappa
         self._probs = 1.0 / (2.0 * bounds)
         self._cache_version = v
 
@@ -881,48 +880,12 @@ class DynamicMAC:
     def active_edges(self) -> "tuple[np.ndarray, np.ndarray]":
         """Sample this step's active edges (both orientations + costs)."""
         self._refresh()
-        m = len(self._edges)
-        if m == 0:
-            return np.empty((0, 2), dtype=np.intp), np.empty(0)
-        with trace.span("mac.activate", edges=m) as sp:
-            mask = self.rng.random(m) < self._probs
-            e = self._edges[mask]
-            c = self._costs[mask]
-            directed = np.vstack([e, e[:, ::-1]]) if len(e) else np.empty((0, 2), dtype=np.intp)
-            costs = np.concatenate([c, c]) if len(c) else np.empty(0)
-            sp.set(activated=len(e))
-        reg = metrics.active()
-        if reg is not None:
-            reg.counter("mac.activation_rounds").inc()
-            reg.counter("mac.activated_edges").inc(len(e))
-        return directed, costs
+        return draw_active(self._edges, self._costs, self._probs, self.rng)
 
     def success_mask(self, transmissions) -> np.ndarray:
-        """Resolve guard-zone interference among the attempts.
-
-        Same semantics as ``RandomActivationMAC.success_mask``, evaluated
-        on the *live* maintained positions (global-id space).
-        """
-        k = len(transmissions)
-        if k == 0:
-            return np.ones(0, dtype=bool)
-        with trace.span("mac.resolve", attempts=k) as sp:
-            und = np.asarray(
-                [(min(t.src, t.dst), max(t.src, t.dst)) for t in transmissions], dtype=np.intp
-            )
-            uniq, inverse = np.unique(und, axis=0, return_inverse=True)
-            mat = self._model.interference_matrix(self.inc.all_positions(), uniq)
-            if mat.size:
-                edge_ok = ~mat.any(axis=1)
-            else:
-                edge_ok = np.ones(len(uniq), dtype=bool)
-            ok = edge_ok[inverse]
-            sp.set(succeeded=int(np.count_nonzero(ok)))
-        reg = metrics.active()
-        if reg is not None:
-            reg.counter("mac.resolved_attempts").inc(k)
-            reg.counter("mac.collision_failures").inc(k - int(np.count_nonzero(ok)))
-        return ok
+        """Resolve the attempts on the *live* maintained positions (global ids)."""
+        pairs = [(t.src, t.dst) for t in transmissions]
+        return resolve(self._model, self.inc.all_positions(), pairs)
 
     def deterministic_step(self, *, seed: int, step: int) -> MacStep:
         """One activate+resolve round with hash-derived randomness.
@@ -932,34 +895,12 @@ class DynamicMAC:
         draws come from :func:`edge_uniforms` instead of the sequential
         ``rng``, so the same ``(seed, step)`` yields the same step
         whether evaluated here or sharded across tile workers.
-        Resolution matches :meth:`success_mask` — an activated edge
-        succeeds iff no other activated edge's guard region touches one
-        of its endpoints.
         """
         self._refresh()
-        m = len(self._edges)
-        empty = MacStep(
-            edges=np.empty((0, 2), dtype=np.int64),
-            costs=np.empty(0),
-            ok=np.empty(0, dtype=bool),
-        )
-        if m == 0:
-            return empty
-        with trace.span("mac.deterministic_step", edges=m, step=step) as sp:
-            edges = np.asarray(self._edges, dtype=np.int64)
+        edges = np.asarray(self._edges, dtype=np.int64)
+        with trace.span("mac.deterministic_step", edges=len(edges), step=step) as sp:
             codes = (edges[:, 0] << 32) | edges[:, 1]
-            active = edge_uniforms(codes, seed, step) < self._probs
-            e = edges[active]
-            c = self._costs[active]
-            if len(e) == 0:
-                return empty
-            mat = self._model.interference_matrix(self.inc.all_positions(), e)
-            ok = ~mat.any(axis=1) if mat.size else np.ones(len(e), dtype=bool)
+            e, c = activate(edges, self._costs, self._probs, edge_uniforms(codes, seed, step))
+            ok = resolve(self._model, self.inc.all_positions(), e)
             sp.set(activated=len(e), succeeded=int(np.count_nonzero(ok)))
-        reg = metrics.active()
-        if reg is not None:
-            reg.counter("mac.activation_rounds").inc()
-            reg.counter("mac.activated_edges").inc(len(e))
-            reg.counter("mac.resolved_attempts").inc(len(e))
-            reg.counter("mac.collision_failures").inc(len(e) - int(np.count_nonzero(ok)))
         return MacStep(edges=e, costs=c, ok=ok)

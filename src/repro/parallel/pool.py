@@ -1,9 +1,9 @@
 """Persistent tile-worker pool: process-parallel churn repair.
 
-The thread backend of :func:`repro.dynamic.batching.apply_events_parallel`
-proves group independence but cannot buy wall-clock speed — group repairs
-are Python-loop heavy, so the GIL serializes them.  This pool runs the
-groups in **worker processes** and keeps the result bit-identical to the
+Group repairs are Python-loop heavy, so only separate processes can
+run them concurrently.  This pool is the ``backend="process"`` path of
+:func:`repro.dynamic.batching.apply_events_parallel`: it runs the groups
+in **worker processes** and keeps the result bit-identical to the
 serial path by construction:
 
 * **Replicated state, shared geometry.**  Each worker forks from the
@@ -71,6 +71,7 @@ from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
+from repro.core.interference_mac import activate, record_mac, resolve
 from repro.dynamic.batching import BatchApplyStats, group_events, independence_radius
 from repro.dynamic.events import event_kind
 from repro.dynamic.interference import MacStep, edge_uniforms
@@ -114,39 +115,30 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     degrees (activation probabilities), and the hash-derived uniforms
     of :func:`repro.dynamic.interference.edge_uniforms` all agree with
     the serial :meth:`DynamicMAC.deterministic_step` bit for bit.
+    Candidate sets overlap across workers, so the shared round runs
+    uncounted here and :meth:`TileWorkerPool.mac_step` records it once.
     Returns ``(edges, costs, ok)`` for the owned activated edges.
     """
-    empty = (np.empty((0, 2), dtype=np.int64), np.empty(0), np.empty(0, dtype=bool))
     edges = np.asarray(inc.edge_array(), dtype=np.int64)
-    if len(edges) == 0:
-        return empty
     pos = inc.all_positions()
-    delta = float(di.delta)
-    reach = (2.0 + delta) * float(inc.max_range) * (1.0 + _SLACK)
+    reach = (2.0 + float(di.delta)) * float(inc.max_range) * (1.0 + _SLACK)
     p0, p1 = pos[edges[:, 0]], pos[edges[:, 1]]
     cand = np.zeros(len(edges), dtype=bool)
     for t in range(wid, grid.n_tiles, workers):
         cand |= grid.halo_mask(p0, t, reach)
         cand |= grid.halo_mask(p1, t, reach)
     ce = edges[cand]
-    if len(ce) == 0:
-        return empty
+    d = p0[cand] - p1[cand]
+    costs = np.hypot(d[:, 0], d[:, 1]) ** float(inc.kappa)
     codes = (ce[:, 0] << 32) | ce[:, 1]
     # Direct row lookups (KeyError = stale replica = a filtering bug —
     # fail loudly rather than activate with a wrong probability).
     deg = di.degrees_of(codes)
     probs = 1.0 / (2.0 * np.maximum(deg.astype(np.float64), 1.0))
-    act = edge_uniforms(codes, seed, step) < probs
-    ae = ce[act]
-    if len(ae) == 0:
-        return empty
+    ae, ac = activate(ce, costs, probs, edge_uniforms(codes, seed, step), count=False)
+    ok = resolve(InterferenceModel(di.delta), pos, ae, count=False)
     own = (grid.tile_of_many(pos[ae[:, 0]]) % workers) == wid
-    mat = InterferenceModel(delta).interference_matrix(pos, ae)
-    ok_all = ~mat.any(axis=1) if mat.size else np.ones(len(ae), dtype=bool)
-    oe = ae[own]
-    d = pos[oe[:, 0]] - pos[oe[:, 1]]
-    costs = np.hypot(d[:, 0], d[:, 1]) ** float(inc.kappa)
-    return oe, costs, ok_all[own]
+    return ae[own], ac[own], ok[own]
 
 
 def _worker_main(wid: int, conn) -> None:
@@ -278,7 +270,7 @@ class TileWorkerPool:
         with full replicas of the topology state.
     interference:
         Optional :class:`~repro.dynamic.interference.DynamicInterference`
-        maintained alongside (same protocol as the thread backend).
+        maintained alongside (same protocol as the serial batch path).
     workers:
         Worker process count (default: available cores).
     capacity:
@@ -322,7 +314,7 @@ class TileWorkerPool:
         if ctx.get_start_method() != "fork":
             raise RuntimeError(
                 "TileWorkerPool requires fork start (workers inherit the "
-                "topology replicas); use the thread or serial backend here"
+                "topology replicas); use the serial backend here"
             )
         self.inc = incremental
         self.di = interference
@@ -418,7 +410,7 @@ class TileWorkerPool:
     def apply_batch(self, events, *, radius: "float | None" = None) -> BatchApplyStats:
         """Apply one step's events across the worker pool.
 
-        Equivalent to ``apply_events_parallel(..., jobs=1)`` — same
+        Equivalent to the serial ``apply_events_parallel`` path — same
         final state, same per-group stats — with group repairs executed
         in the owning tile's worker process.
         """
@@ -703,15 +695,15 @@ class TileWorkerPool:
                     ok=np.empty(0, dtype=bool),
                 )
             sp.set(activated=result.activated, succeeded=result.succeeded)
+        record_mac(
+            edges=self.di.n_edges,
+            activated=result.activated,
+            attempts=result.activated,
+            succeeded=result.succeeded,
+        )
         reg = metrics.active()
         if reg is not None:
             reg.counter("pool.mac_steps").inc()
-            reg.counter("mac.activation_rounds").inc()
-            reg.counter("mac.activated_edges").inc(result.activated)
-            reg.counter("mac.resolved_attempts").inc(result.activated)
-            reg.counter("mac.collision_failures").inc(
-                result.activated - result.succeeded
-            )
         return result
 
     # ------------------------------------------------------------------

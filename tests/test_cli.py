@@ -232,6 +232,13 @@ class TestDynamicTiles:
         assert main(self.BASE + ["--tiles", "0,3"]) == 2
         assert main(self.BASE + ["--tiles", "1,2,3"]) == 2
 
+    @pytest.mark.parametrize("backend", ["thread", "auto"])
+    def test_removed_backends_exit_2(self, capsys, backend):
+        with pytest.raises(SystemExit) as exc:
+            main(["dynamic", "--parallel", "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_parse_tiles_values(self):
         from repro.__main__ import _parse_tiles
 

@@ -1,8 +1,8 @@
 """Disjoint-region parallel event application: serial equivalence.
 
-Property: for any partition of a step's events into groups —
-and any thread count — phase-A-then-grouped-repair produces exactly the
-edge set and conflict CSR that serial per-event application produces.
+Property: for any partition of a step's events into groups,
+phase-A-then-grouped-repair produces exactly the edge set and conflict
+CSR that serial per-event application produces.
 Asserted over 20 seeded random traces, a high-churn burst, and the
 grouping-layer unit contracts (same-node events share a group, distant
 events do not, group order follows trace order).
@@ -119,7 +119,7 @@ class TestSerialParallelEquivalence:
         di_p = DynamicInterference(inc_p, DELTA)
         for lo in range(0, len(events), 12):
             apply_events_parallel(
-                inc_p, events[lo : lo + 12], interference=di_p, jobs=2
+                inc_p, events[lo : lo + 12], interference=di_p
             )
         assert np.array_equal(inc_s.edge_array(), inc_p.edge_array())
         assert di_s.interference_sets() == di_p.interference_sets()
@@ -133,7 +133,7 @@ class TestSerialParallelEquivalence:
         events = list(trace.events())
         inc_s, _ = _serial_apply(pts, d0, events, with_interference=False)
         inc_p = IncrementalTheta(pts, THETA, d0)
-        stats = apply_events_parallel(inc_p, events, jobs=4)
+        stats = apply_events_parallel(inc_p, events)
         assert stats.events == 100
         assert sum(stats.group_sizes) == 100
         assert np.array_equal(inc_s.edge_array(), inc_p.edge_array())
@@ -164,47 +164,8 @@ class TestBackendSelection:
     def test_explicit_serial_backend(self):
         pts, d0, events = self._trace(30)
         inc = IncrementalTheta(pts, THETA, d0)
-        stats = apply_events_parallel(inc, events, backend="serial", jobs=8)
+        stats = apply_events_parallel(inc, events, backend="serial")
         assert stats.backend == "serial" and stats.jobs == 1
-
-    def test_explicit_thread_backend(self):
-        # Two far-apart pairs: guaranteed independent groups, so the
-        # thread pool actually spins up and the stats reflect it.
-        pts = np.array([[0.0, 0.0], [0.0, 0.1], [50.0, 50.0], [50.0, 50.1]])
-        events = [NodeMove(node=0, x=0.05, y=0.0), NodeMove(node=2, x=50.05, y=50.0)]
-        inc_s, _ = _serial_apply(pts, 1.0, events, with_interference=False)
-        inc = IncrementalTheta(pts, THETA, 1.0)
-        stats = apply_events_parallel(inc, events, backend="thread", jobs=3)
-        assert stats.backend == "thread" and stats.jobs == 3
-        assert stats.groups == 2
-        assert np.array_equal(inc_s.edge_array(), inc.edge_array())
-
-    def test_auto_stays_serial_below_group_threshold(self):
-        from repro.dynamic.batching import AUTO_THREAD_MIN_GROUPS
-
-        pts, d0, _ = _build(100, 2)
-        inc = IncrementalTheta(pts, THETA, d0)
-        node = int(inc.alive_ids()[0])
-        x, y = (float(v) for v in pts[node])
-        # one tiny group, jobs unset: auto must not spin up threads
-        stats = apply_events_parallel(inc, [NodeMove(node=node, x=x + 1e-4, y=y)])
-        assert stats.groups < AUTO_THREAD_MIN_GROUPS
-        assert stats.backend == "serial" and stats.jobs == 1
-
-    def test_auto_picks_threads_on_many_groups_and_cores(self, monkeypatch):
-        monkeypatch.setattr("os.sched_getaffinity", lambda _: set(range(4)))
-        # nine pairs 50 apart: nine independent groups, past the auto
-        # threshold, so jobs=None fans out on the (mocked) 4 cores
-        pts = np.array(
-            [[50.0 * i, float(j) * 0.1] for i in range(9) for j in range(2)]
-        )
-        events = [NodeMove(node=2 * i, x=50.0 * i + 0.05, y=0.0) for i in range(9)]
-        inc_s, _ = _serial_apply(pts, 1.0, events, with_interference=False)
-        inc = IncrementalTheta(pts, THETA, 1.0)
-        stats = apply_events_parallel(inc, events)
-        assert stats.groups == 9
-        assert stats.backend == "thread" and stats.jobs == 4
-        assert np.array_equal(inc_s.edge_array(), inc.edge_array())
 
     def test_process_backend_requires_pool(self):
         pts, d0, events = self._trace(10)

@@ -222,7 +222,7 @@ class TestFaultInjection:
 
 
 class TestMACUnderChurn:
-    def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False, jobs=1):
+    def _mac_setup(self, n=30, seed=2, steps=40, *, parallel=False):
         from repro import DynamicInterference, DynamicMAC
 
         pts, d0, _ = _dynamic_setup(n, seed, steps)[:3]
@@ -234,7 +234,7 @@ class TestMACUnderChurn:
         )
         inc = IncrementalTheta(pts, THETA, d0)
         di = DynamicInterference(inc, 0.5)
-        dyn = DynamicTopology(inc, trace, interference=di, parallel=parallel, jobs=jobs)
+        dyn = DynamicTopology(inc, trace, interference=di, parallel=parallel)
         mac = DynamicMAC(di, rng=seed + 3)
         return dyn, di, mac
 
@@ -269,7 +269,7 @@ class TestMACUnderChurn:
     def test_parallel_dynamic_topology_matches_serial(self):
         n, steps = 30, 40
         dyn_s, di_s, _ = self._mac_setup(n, 4, steps)
-        dyn_p, di_p, _ = self._mac_setup(n, 4, steps, parallel=True, jobs=2)
+        dyn_p, di_p, _ = self._mac_setup(n, 4, steps, parallel=True)
         for t in range(steps):
             dyn_s.step(t)
             dyn_p.step(t)

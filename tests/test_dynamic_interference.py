@@ -118,6 +118,27 @@ class TestDynamicMAC:
         np.testing.assert_allclose(mac._probs, static.activation_probs)
         assert mac.interference_number == static.interference_number
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_rounds_match_static_mac(self, seed):
+        # On an unchurned topology the maintained MAC is a thin view of
+        # the static one: same draws, same edges and costs, same verdicts.
+        from repro.core.interference_mac import RandomActivationMAC
+        from repro.sim.packets import Transmission
+
+        pts, d0, inc, di = _pair(200, 20 + seed)
+        mac = DynamicMAC(di, rng=seed)
+        static = RandomActivationMAC(inc.snapshot_graph(), DELTA, rng=seed)
+        for _ in range(30):
+            edges, costs = mac.active_edges()
+            s_edges, s_costs = static.active_edges()
+            assert np.array_equal(edges, s_edges)
+            assert np.array_equal(costs, s_costs)
+            tx = [
+                Transmission(src=int(a), dst=int(b), dest=int(b), cost=float(c))
+                for (a, b), c in zip(edges.tolist(), costs.tolist())
+            ]
+            assert np.array_equal(mac.success_mask(tx), static.success_mask(tx))
+
     def test_active_edges_refresh_after_churn(self):
         pts, d0, inc, di = _pair(60, 12)
         mac = DynamicMAC(di, rng=1)

@@ -34,6 +34,7 @@ from repro import (
     uniform_points,
 )
 from repro.dynamic import DynamicMAC, edge_uniforms
+from repro.obs import metrics
 from repro.parallel import TiledEngine, TileGrid, TileWorkerPool
 
 THETA = math.pi / 9
@@ -344,6 +345,37 @@ class TestPooledMac:
                     assert np.array_equal(got.costs, ref.costs)
                     assert got.activated == ref.activated
                     assert got.succeeded == ref.succeeded
+
+    def test_mac_counters_match_serial(self):
+        # One counting rule on every MAC path: each round on a topology
+        # with edges is one mac.activation_rounds, activated edges or not.
+        pts = uniform_points(40, rng=5)
+        d0 = max_range_for_connectivity(pts, slack=1.5)
+        inc = IncrementalTheta(pts, THETA, d0)
+        di = DynamicInterference(inc, DELTA)
+        mac_s = DynamicMAC(di, bound_mode="own")
+        reg = metrics.enable(fresh=True)
+
+        def run(step_fn):
+            before = dict(reg.snapshot()["counters"])
+            activated = [step_fn(seed=3, step=k).activated for k in range(200)]
+            after = reg.snapshot()["counters"]
+            deltas = {
+                k: after[k] - before.get(k, 0.0) for k in after if k.startswith("mac.")
+            }
+            return activated, deltas
+
+        try:
+            with TileWorkerPool(inc, di, workers=1, capacity=64) as pool:
+                act_s, serial = run(mac_s.deterministic_step)
+                act_p, pooled = run(pool.mac_step)
+        finally:
+            metrics.disable()
+        assert act_s == act_p
+        assert 0 in act_s and any(act_s)
+        assert serial == pooled
+        assert serial["mac.activation_rounds"] == 200
+        assert serial["mac.activated_edges"] == sum(act_s)
 
     def test_mac_requires_interference_replica(self):
         pts = uniform_points(40, rng=3)
