@@ -36,6 +36,7 @@ from repro.utils.rng import as_rng
 __all__ = [
     "RandomActivationMAC",
     "activate",
+    "activation_probs",
     "draw_active",
     "estimate_edge_interference",
     "record_mac",
@@ -63,20 +64,29 @@ def estimate_edge_interference(
       the conservative bound needed in spaces with obstacles.
 
     ``sets`` lets callers that already hold the interference sets (e.g.
-    :class:`RandomActivationMAC`, or the incrementally maintained
-    :class:`repro.dynamic.interference.DynamicInterference`) skip
-    recomputing them; with ``sets`` given, ``graph`` may be ``None``.
+    :class:`RandomActivationMAC`) skip recomputing them; with ``sets``
+    given, ``graph`` may be ``None``.  ``sets`` may also be an
+    incrementally maintained
+    :class:`repro.dynamic.interference.DynamicInterference`: its
+    ``degree_array()`` serves the ``"own"`` bound without building CSR.
     """
     if sets is None:
         if graph is None:
             raise ValueError("need either a graph or precomputed sets")
         sets = interference_sets(graph, delta)
-    sizes = sets.degrees.astype(np.float64)
+    maintained = not isinstance(sets, InterferenceSets)
+    sizes = (sets.degree_array() if maintained else sets.degrees).astype(np.float64)
     if mode == "own":
         return np.maximum(sizes, 1.0)
     if mode != "neighborhood":
         raise ValueError(f"mode must be 'own' or 'neighborhood', got {mode!r}")
-    return np.maximum(np.maximum(sizes, sets.neighborhood_max(sizes)), 1.0)
+    full = sets.interference_sets() if maintained else sets
+    return np.maximum(np.maximum(sizes, full.neighborhood_max(sizes)), 1.0)
+
+
+def activation_probs(bounds) -> np.ndarray:
+    """§3.3 activation probability ``1/(2·I_e)`` of each bound ``I_e`` (clamped below at 1)."""
+    return 1.0 / (2.0 * np.maximum(np.asarray(bounds, dtype=np.float64), 1.0))
 
 
 def record_mac(
@@ -109,21 +119,16 @@ def activate(
     costs: np.ndarray,
     probs: np.ndarray,
     uniforms: np.ndarray,
-    *,
-    count: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """§3.3 activation: edge ``i`` activates iff ``uniforms[i] < probs[i]``.
 
-    Returns the activated rows of ``edges`` and ``costs``.  ``count=False``
-    leaves the counters alone, for callers that see only part of a round
-    and record the whole round themselves.
+    Returns the activated rows of ``edges`` and ``costs``.
     """
     with trace.span("mac.activate", edges=len(edges)) as sp:
         mask = uniforms < probs
         e, c = edges[mask], costs[mask]
         sp.set(activated=len(e))
-    if count:
-        record_mac(edges=len(edges), activated=len(e))
+    record_mac(edges=len(edges), activated=len(e))
     return e, c
 
 
@@ -143,9 +148,7 @@ def draw_active(
     return np.vstack([e, e[:, ::-1]]), np.concatenate([c, c])
 
 
-def resolve(
-    model: InterferenceModel, points: np.ndarray, pairs, *, count: bool = True
-) -> np.ndarray:
+def resolve(model: InterferenceModel, points: np.ndarray, pairs) -> np.ndarray:
     """§2.4 success of each attempted transmission in ``pairs``.
 
     ``pairs`` are ``(src, dst)`` node pairs in either orientation.  Both
@@ -153,7 +156,7 @@ def resolve(
     exchange and never kill each other, so the pairs collapse to
     undirected edges and :meth:`InterferenceModel.successful_mask` decides
     them: an edge succeeds iff no other attempted edge's guard zone
-    covers one of its endpoints.  ``count`` as in :func:`activate`.
+    covers one of its endpoints.
     """
     pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
     k = len(pairs)
@@ -164,8 +167,7 @@ def resolve(
         ok = model.successful_mask(points, uniq)[inverse.reshape(-1)]
         succeeded = int(np.count_nonzero(ok))
         sp.set(succeeded=succeeded)
-    if count:
-        record_mac(attempts=k, succeeded=succeeded)
+    record_mac(attempts=k, succeeded=succeeded)
     return ok
 
 
@@ -218,7 +220,7 @@ class RandomActivationMAC:
         if (bounds < 1).any():
             raise ValueError("interference bounds must be >= 1")
         self.interference_bounds = bounds
-        self.activation_probs = 1.0 / (2.0 * bounds)
+        self.activation_probs = activation_probs(bounds)
         self._model = InterferenceModel(delta)
 
     @property

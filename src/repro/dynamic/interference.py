@@ -48,7 +48,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.interference_mac import activate, draw_active, estimate_edge_interference, resolve
+from repro.core.interference_mac import (
+    activate,
+    activation_probs,
+    draw_active,
+    estimate_edge_interference,
+    resolve,
+)
 from repro.interference.conflict import InterferenceSets, interference_sets
 from repro.interference.model import InterferenceModel, interference_radius
 from repro.obs import metrics, trace
@@ -794,15 +800,6 @@ class DynamicInterference:
             self._csr = InterferenceSets(indptr, indices)
         return self._csr
 
-    @property
-    def degrees(self) -> np.ndarray:
-        """``|I(e)|`` aligned with ``edge_array()``, as on ``InterferenceSets``."""
-        return self.degree_array()
-
-    def neighborhood_max(self, values: np.ndarray) -> np.ndarray:
-        """:meth:`InterferenceSets.neighborhood_max` over the maintained rows."""
-        return self.interference_sets().neighborhood_max(values)
-
     def check_full_equivalence(self) -> int:
         """Rows differing from a from-scratch rebuild (0 = bit-identical).
 
@@ -868,7 +865,7 @@ class DynamicMAC:
         d = self.inc.position_array(edges[:, 0]) - self.inc.position_array(edges[:, 1])
         self._edges = edges
         self._costs = np.hypot(d[:, 0], d[:, 1]) ** self.inc.kappa
-        self._probs = 1.0 / (2.0 * bounds)
+        self._probs = activation_probs(bounds)
         self._cache_version = v
 
     @property

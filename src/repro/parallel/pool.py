@@ -71,7 +71,7 @@ from multiprocessing.connection import wait as _mp_wait
 
 import numpy as np
 
-from repro.core.interference_mac import activate, record_mac, resolve
+from repro.core.interference_mac import activate, activation_probs, record_mac, resolve
 from repro.dynamic.batching import BatchApplyStats, group_events, independence_radius
 from repro.dynamic.events import event_kind
 from repro.dynamic.interference import MacStep, edge_uniforms
@@ -115,9 +115,9 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     degrees (activation probabilities), and the hash-derived uniforms
     of :func:`repro.dynamic.interference.edge_uniforms` all agree with
     the serial :meth:`DynamicMAC.deterministic_step` bit for bit.
-    Candidate sets overlap across workers, so the shared round runs
-    uncounted here and :meth:`TileWorkerPool.mac_step` records it once.
-    Returns ``(edges, costs, ok)`` for the owned activated edges.
+    The ``mac.*`` counters this round moves stay in the worker's own
+    registry; :meth:`TileWorkerPool.mac_step` records the merged round
+    once on the parent.  Returns ``(edges, costs, ok)`` for the owned activated edges.
     """
     edges = np.asarray(inc.edge_array(), dtype=np.int64)
     pos = inc.all_positions()
@@ -133,10 +133,9 @@ def _mac_tile_step(inc, di, grid, wid: int, workers: int, seed: int, step: int):
     codes = (ce[:, 0] << 32) | ce[:, 1]
     # Direct row lookups (KeyError = stale replica = a filtering bug —
     # fail loudly rather than activate with a wrong probability).
-    deg = di.degrees_of(codes)
-    probs = 1.0 / (2.0 * np.maximum(deg.astype(np.float64), 1.0))
-    ae, ac = activate(ce, costs, probs, edge_uniforms(codes, seed, step), count=False)
-    ok = resolve(InterferenceModel(di.delta), pos, ae, count=False)
+    probs = activation_probs(di.degrees_of(codes))
+    ae, ac = activate(ce, costs, probs, edge_uniforms(codes, seed, step))
+    ok = resolve(InterferenceModel(di.delta), pos, ae)
     own = (grid.tile_of_many(pos[ae[:, 0]]) % workers) == wid
     return ae[own], ac[own], ok[own]
 

@@ -118,6 +118,28 @@ class TestDynamicMAC:
         np.testing.assert_allclose(mac._probs, static.activation_probs)
         assert mac.interference_number == static.interference_number
 
+    @pytest.mark.parametrize("bound_mode", ["own", "neighborhood"])
+    def test_bounds_match_static_mac_per_mode(self, bound_mode):
+        # Both bound modes, before and after churn: the maintained view
+        # derives the same probabilities as a static MAC on the snapshot.
+        from repro.core.interference_mac import RandomActivationMAC
+
+        pts, d0, inc, di = _pair(60, 11)
+        mac = DynamicMAC(di, rng=0, bound_mode=bound_mode)
+        for events in ([], list(random_event_trace(pts, 10, move_sigma=d0 / 2.0, rng=4).events())):
+            for ev in events:
+                di.update_event(inc.apply(ev))
+            mac._refresh()
+            static = RandomActivationMAC(
+                inc.snapshot_graph(), DELTA, rng=0, bound_mode=bound_mode
+            )
+            np.testing.assert_array_equal(mac._probs, static.activation_probs)
+
+    def test_invalid_bound_mode_rejected_at_construction(self):
+        pts, d0, inc, di = _pair(30, 11)
+        with pytest.raises(ValueError, match="mode must be"):
+            DynamicMAC(di, bound_mode="bad")
+
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_rounds_match_static_mac(self, seed):
         # On an unchurned topology the maintained MAC is a thin view of
